@@ -55,6 +55,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
+from itertools import chain
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -104,6 +106,9 @@ KIND_TO_TRAFFIC = {
     ResourceKind.DEPTH: TrafficType.ZTEST,
     ResourceKind.COMMAND: TrafficType.COMMAND,
 }
+
+#: The peer slices of a touch resolved wholly locally (shared, empty).
+_NO_REMOTE: Mapping[int, float] = MappingProxyType({})
 
 
 def classify_bottleneck(
@@ -174,9 +179,8 @@ class ResolvedUnit:
 class StageCopy:
     """One staging/PA copy chunk bound for a GPM's local DRAM.
 
-    Zero-byte chunks are legal (a touch that needed no shortfall) and
-    priced as nothing; they keep the chunk list aligned with the touch
-    list for diagnostics.
+    The staging managers emit one chunk per touch that still had bytes
+    to move.  Zero-byte chunks are legal and priced as nothing.
     """
 
     src: int
@@ -255,6 +259,8 @@ class ExecutionEngine(abc.ABC):
         #: Composition-barrier intervals (separate from the render lane
         #: so :meth:`shed_tail` clipping never touches them).
         self._compose_intervals: List[TraceInterval] = []
+        #: The memory-side L2 capacity that filters local streams.
+        self._l2_bytes = float(system.config.gpm.l2_bytes)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -320,27 +326,20 @@ class ExecutionEngine(abc.ABC):
         link_bytes: Dict[int, float] = {}
         flows: List[LinkFlow] = []
         dram_demand: Dict[int, float] = {}
-
-        def demand(gpm: int, nbytes: float) -> None:
-            if nbytes > 0:
-                dram_demand[gpm] = dram_demand.get(gpm, 0.0) + nbytes
-
-        def absorb(pair: Tuple[float, Dict[int, float]]) -> None:
-            nonlocal local_bytes
-            local_part, remote_part = pair
+        resolve = self._resolve_touch
+        for touch in chain(unit.texture_touches, unit.vertex_touches):
+            local_part, remote_part = resolve(
+                touch, gpm_id, flows, dram_demand
+            )
             local_bytes += local_part
             for peer, nbytes in remote_part.items():
                 link_bytes[peer] = link_bytes.get(peer, 0.0) + nbytes
-
-        for touch in unit.texture_touches:
-            absorb(self._resolve_touch(touch, gpm_id, flows, dram_demand))
-        for touch in unit.vertex_touches:
-            absorb(self._resolve_touch(touch, gpm_id, flows, dram_demand))
-        absorb(
-            self._resolve_framebuffer(
-                unit, gpm_id, fb_targets, flows, dram_demand
-            )
+        local_part, remote_part = self._resolve_framebuffer(
+            unit, gpm_id, fb_targets, flows, dram_demand
         )
+        local_bytes += local_part
+        for peer, nbytes in remote_part.items():
+            link_bytes[peer] = link_bytes.get(peer, 0.0) + nbytes
 
         if unit.command_bytes > 0 and command_source != gpm_id:
             system.fabric.transfer(
@@ -377,7 +376,7 @@ class ExecutionEngine(abc.ABC):
         gpm_id: int,
         flows: List[LinkFlow],
         dram_demand: Dict[int, float],
-    ) -> Tuple[float, Dict[int, float]]:
+    ) -> Tuple[float, Mapping[int, float]]:
         """Split one touch into (local DRAM bytes, {peer: link bytes}).
 
         Local slices are filtered by the memory-side L2 (stream collapses
@@ -386,6 +385,18 @@ class ExecutionEngine(abc.ABC):
         """
         system = self.system
         fractions = system.placement.owner_fractions(touch.resource, gpm_id)
+        if len(fractions) == 1 and gpm_id in fractions:
+            # The toucher holds the whole resource (home or replica):
+            # the common case once staging has run, with no peer slice.
+            local_bytes = miss_bytes(
+                touch.stream_bytes, touch.unique_bytes, self._l2_bytes
+            ) + touch.write_bytes
+            if local_bytes > 0:
+                system.drams[gpm_id].read(local_bytes)
+                dram_demand[gpm_id] = (
+                    dram_demand.get(gpm_id, 0.0) + local_bytes
+                )
+            return local_bytes, _NO_REMOTE
         traffic = KIND_TO_TRAFFIC[touch.resource.kind]
         local_bytes = 0.0
         remote: Dict[int, float] = {}
@@ -395,7 +406,7 @@ class ExecutionEngine(abc.ABC):
             writes = touch.write_bytes * fraction
             if owner == gpm_id:
                 local_bytes += miss_bytes(
-                    stream, unique, float(system.config.gpm.l2_bytes)
+                    stream, unique, self._l2_bytes
                 ) + writes
                 continue
             crossing = system.remote_caches[gpm_id].filter(stream, unique) + writes
@@ -439,7 +450,7 @@ class ExecutionEngine(abc.ABC):
             if owner == gpm_id:
                 local_bytes += (
                     miss_bytes(
-                        z_stream, z_unique, float(system.config.gpm.l2_bytes)
+                        z_stream, z_unique, self._l2_bytes
                     )
                     + color
                     + z_w

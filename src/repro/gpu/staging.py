@@ -27,13 +27,19 @@ contention-replayed wire flow under the event engine).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.base import StageCopy, StageOutcome
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.address import Touch
 from repro.memory.link import TrafficType
+from repro.memory.placement import Holding
 from repro.pipeline.workunit import WorkUnit
+
+# Enum member lookups cost a descriptor call each; _stage_touch runs
+# per touch.
+_PLACED, _HOME = Holding.PLACED, Holding.HOME
 
 
 @dataclass
@@ -67,26 +73,26 @@ class StagingManager:
         the collected shortfalls as one staging flow.
         """
         resource = touch.resource
-        placement = self.system.placement
-        if not placement.is_placed(resource):
-            # First toucher: pages land local for free (first touch by
-            # the staging copy itself).
-            placement.place_fixed(resource, gpm)
-            self._staged[(resource.resource_id, gpm)] = float(resource.size_bytes)
-            return 0.0
-        if placement.is_home(resource, gpm):
+        holding = self.system.placement.hold(resource, gpm)
+        if holding is _HOME:
             # The resource's home DRAM: nothing to move, ever.
             return 0.0
-        # Replicate immediately so render-time reads go to local DRAM;
-        # the copy bytes accumulate with use, capped at the footprint.
-        placement.replicate(resource, [gpm])
         key = (resource.resource_id, gpm)
+        if holding is _PLACED:
+            # First toucher: pages land local for free (first touch by
+            # the staging copy itself).
+            self._staged[key] = float(resource.size_bytes)
+            return 0.0
+        # ``hold`` replicated the resource, so render-time reads go to
+        # local DRAM; the copy bytes accumulate with use, capped at the
+        # footprint.
         factor = self.factor * scale
+        staged = self._staged.get(key, 0.0)
         wanted = min(
             float(resource.size_bytes) * max(factor, 1.0),
-            self._staged.get(key, 0.0) + touch.unique_bytes * factor,
+            staged + touch.unique_bytes * factor,
         )
-        shortfall = wanted - self._staged.get(key, 0.0)
+        shortfall = wanted - staged
         if shortfall <= 0:
             return 0.0
         self._staged[key] = wanted
@@ -103,31 +109,27 @@ class StagingManager:
 
         Render-time texture reads are redirected to local DRAM by
         recording the staged copy; vertex buffers are tiny and stage
-        along with the command stream.  ``factor_scale`` lets callers
-        stage per view (tile-SFR copies each eye region's data even
-        though SMP shares the cached footprint).  ``overlap_from`` is
-        the PA path: the copy streams from that point in time and the
-        returned outcome carries when it lands.  All pricing — the
+        along with the command stream.  Afterwards ``gpm`` holds every
+        touched resource whole, so binding the unit there reads no
+        texture or vertex bytes over the links.  One copy chunk is
+        emitted per touch that still had a shortfall, in touch order;
+        touches with nothing to move emit none.  ``factor_scale`` lets
+        callers stage per view (tile-SFR copies each eye region's data
+        even though SMP shares the cached footprint).  ``overlap_from``
+        is the PA path: the copy streams from that point in time and
+        the returned outcome carries when it lands.  All pricing — the
         stall charged on a software copy, the overlapped arrival of a
         prefetched one — is the engine's
         (:meth:`~repro.engine.base.ExecutionEngine.stage_flow`).
         """
         src = (gpm + 1) % self.system.num_gpms
         copies: List[StageCopy] = []
-        for touch in unit.texture_touches:
-            copies.append(
-                StageCopy(
-                    src, gpm, self._stage_touch(touch, gpm, factor_scale),
-                    self.traffic_type,
+        for touch in chain(unit.texture_touches, unit.vertex_touches):
+            shortfall = self._stage_touch(touch, gpm, factor_scale)
+            if shortfall:
+                copies.append(
+                    StageCopy(src, gpm, shortfall, self.traffic_type)
                 )
-            )
-        for touch in unit.vertex_touches:
-            copies.append(
-                StageCopy(
-                    src, gpm, self._stage_touch(touch, gpm, factor_scale),
-                    self.traffic_type,
-                )
-            )
         outcome = self.system.engine.stage_flow(
             gpm,
             copies,

@@ -119,7 +119,10 @@ def working_set_hit_rate(
     if reuse_factor < 1.0:
         raise ValueError("reuse_factor must be >= 1 (each byte touched once)")
     compulsory_hit = 1.0 - 1.0 / reuse_factor
-    capacity_ratio = min(1.0, cache_bytes / unique_bytes)
+    # min(1.0, ratio) as a branch (see miss_bytes).
+    capacity_ratio = cache_bytes / unique_bytes
+    if not capacity_ratio < 1.0:
+        capacity_ratio = 1.0
     return compulsory_hit * capacity_ratio
 
 
@@ -138,10 +141,20 @@ def miss_bytes(
         return 0.0
     if unique_bytes <= 0:
         return 0.0
-    reuse = max(1.0, stream_bytes / unique_bytes)
+    # This runs once per memory touch a bind resolves, so the clamps are
+    # branches rather than builtin min/max calls (several times slower
+    # here).  Each keeps the builtin's result exactly, ties and NaN
+    # included: max(a, b) is b only if b > a, min(a, b) is b only if
+    # b < a.
+    reuse = stream_bytes / unique_bytes
+    if not reuse > 1.0:
+        reuse = 1.0
     hit = working_set_hit_rate(unique_bytes, cache_bytes, reuse)
     out = stream_bytes * (1.0 - hit)
-    return min(stream_bytes, max(out, min(unique_bytes, stream_bytes)))
+    floor = stream_bytes if stream_bytes < unique_bytes else unique_bytes
+    if floor > out:
+        out = floor
+    return out if out < stream_bytes else stream_bytes
 
 
 @dataclass

@@ -285,3 +285,53 @@ class TestStagingManager:
         staging.stage_unit(unit, 0)
         staging.stage_unit(unit, 1)
         assert system.fabric.bytes_by_type().get(TrafficType.PREALLOC, 0) > 0
+
+    @pytest.mark.parametrize("engine", ["analytic", "event"])
+    @pytest.mark.parametrize("prefetched", [False, True])
+    def test_staged_unit_binds_locally_and_copies_only_shortfalls(
+        self, config, characterizer, pool, engine, prefetched
+    ):
+        system = MultiGPUSystem(config.with_engine(engine))
+        system.begin_frame()
+        unit = unit_for(
+            characterizer, pool,
+            textures=(("stone", MB), ("moss", 2 * MB), ("sand", MB)),
+        )
+        stone, moss, _sand = (t.resource for t in unit.texture_touches)
+        (vertex,) = (t.resource for t in unit.vertex_touches)
+        system.placement.place_fixed(stone, 2)  # home on the renderer
+        system.placement.place_fixed(moss, 1)  # must be copied
+        system.placement.place_fixed(vertex, 3)  # must be copied
+        # "sand" stays unplaced: the staging copy's first touch homes it.
+        emitted = []
+        stage_flow = system.engine.stage_flow
+
+        def recording(gpm_id, copies, **kwargs):
+            emitted.extend(copies)
+            return stage_flow(gpm_id, copies, **kwargs)
+
+        system.engine.stage_flow = recording
+        staging = StagingManager(system, prefetched=prefetched)
+        staging.stage_unit(
+            unit, 2, overlap_from=0.0 if prefetched else None
+        )
+        shortfalls = [
+            min(float(t.resource.size_bytes), t.unique_bytes)
+            for t in (*unit.texture_touches, *unit.vertex_touches)
+            if t.resource in (moss, vertex)
+        ]
+        assert shortfalls and all(nbytes > 0 for nbytes in shortfalls)
+        assert [copy.nbytes for copy in emitted] == shortfalls
+        assert all((copy.dst, copy.traffic) == (2, TrafficType.TEXTURE)
+                   for copy in emitted)
+        assert staging.staged_bytes == sum(shortfalls)
+
+        resolved = system.engine.bind(unit, 2, fb_targets={2: 1.0})
+        assert not [
+            flow for flow in resolved.flows
+            if flow.traffic in (TrafficType.TEXTURE, TrafficType.VERTEX)
+        ]
+        for touch in (*unit.texture_touches, *unit.vertex_touches):
+            assert system.placement.owner_fractions(touch.resource, 2) == {
+                2: 1.0
+            }
