@@ -891,8 +891,8 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--profile", action="store_true",
         help="time the run phase by phase (scene build, bind, price, "
-        "execute) and print the wall-time breakdown (with the event "
-        "engine: plus window-loop counters)",
+        "stage, predict, simulate, execute) and print the wall-time "
+        "breakdown (with the event engine: plus window-loop counters)",
     )
     run.add_argument(
         "--no-reuse", action="store_true",
@@ -974,8 +974,9 @@ def make_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--profile", action="store_true",
         help="time every cell phase by phase (scene build, bind, price, "
-        "execute, cache I/O), print per-cell breakdowns and export "
-        "profile_*_s record columns (serial execution only)",
+        "stage, predict, simulate, execute, cache I/O), print per-cell "
+        "breakdowns and export profile_*_s record columns (serial "
+        "execution only)",
     )
     sweep.add_argument(
         "--no-reuse", action="store_true",

@@ -22,13 +22,22 @@ to find the earliest-available module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from math import isfinite
+from typing import List, Optional
 
 import numpy as np
 
+from repro.profiling import phase
+
 #: Batches used to initialise the model before prediction switches on.
 CALIBRATION_BATCHES = 8
+
+#: The ``predict`` profiling phase (one shared timer; observe runs per
+#: completed batch).
+_PREDICT_PHASE = phase("predict")
+
+_FIELDS = ("triangles", "transformed_vertices", "rendered_pixels", "cycles")
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,18 @@ class BatchObservation:
     cycles: float
 
     def __post_init__(self) -> None:
+        # NaN slips past every ordered comparison below, and one
+        # non-finite row poisons every later fit.
+        if not (
+            isfinite(self.triangles)
+            and isfinite(self.transformed_vertices)
+            and isfinite(self.rendered_pixels)
+            and isfinite(self.cycles)
+        ):
+            name = next(
+                name for name in _FIELDS if not isfinite(getattr(self, name))
+            )
+            raise ValueError(f"{name} must be finite")
         if min(self.triangles, self.transformed_vertices, self.rendered_pixels) < 0:
             raise ValueError("negative workload counts")
         if self.cycles <= 0:
@@ -55,11 +76,14 @@ class RenderingTimePredictor:
             raise ValueError("need at least one calibration batch")
         self.calibration_batches = calibration_batches
         self._observations: List[BatchObservation] = []
-        # Column buffers (triangles, tv, pixels, cycles) grown by
-        # doubling: refits slice these views instead of rebuilding
-        # arrays from the observation list on every observe() call.
-        self._columns = np.zeros((4, 16), dtype=np.float64)
+        # Column buffers grown by doubling: rows 0-3 are (triangles, tv,
+        # pixels, cycles) per observation; row 4 packs cycles/triangles
+        # of the ``_ratio_count`` observations with triangles > 0, so a
+        # refit reads every operand as a slice instead of rebuilding
+        # masks and arrays on every observe() call.
+        self._columns = np.zeros((5, 16), dtype=np.float64)
         self._count = 0
+        self._ratio_count = 0
         self.c0: Optional[float] = None
         self.c1: Optional[float] = None
         self.c2: Optional[float] = None
@@ -72,43 +96,52 @@ class RenderingTimePredictor:
 
     def observe(self, observation: BatchObservation) -> None:
         """Record a completed batch; fits the model once enough arrive."""
-        self._observations.append(observation)
-        if self._count == self._columns.shape[1]:
-            grown = np.zeros(
-                (4, self._columns.shape[1] * 2), dtype=np.float64
-            )
-            grown[:, : self._count] = self._columns
-            self._columns = grown
-        self._columns[0, self._count] = observation.triangles
-        self._columns[1, self._count] = observation.transformed_vertices
-        self._columns[2, self._count] = observation.rendered_pixels
-        self._columns[3, self._count] = observation.cycles
-        self._count += 1
-        if self._count >= self.calibration_batches or self.is_calibrated:
-            self._fit()
+        with _PREDICT_PHASE:
+            self._observations.append(observation)
+            count = self._count
+            columns = self._columns
+            if count == columns.shape[1]:
+                grown = np.zeros((5, count * 2), dtype=np.float64)
+                grown[:, :count] = columns
+                self._columns = columns = grown
+            triangles = float(observation.triangles)
+            cycles = float(observation.cycles)
+            columns[0, count] = triangles
+            columns[1, count] = observation.transformed_vertices
+            columns[2, count] = observation.rendered_pixels
+            columns[3, count] = cycles
+            if triangles > 0:
+                columns[4, self._ratio_count] = cycles / triangles
+                self._ratio_count += 1
+            self._count = count + 1
+            if self._count >= self.calibration_batches or self.is_calibrated:
+                self._fit()
 
     def _fit(self) -> None:
         """Fit c0 (triangle rate) and (c1, c2) by least squares."""
         count = self._count
-        triangles = self._columns[0, :count]
-        cycles = self._columns[3, :count]
-        valid = triangles > 0
-        if valid.any():
-            self.c0 = float(np.mean(cycles[valid] / triangles[valid]))
+        columns = self._columns
+        cycles = columns[3, :count]
+        # ``np.mean`` is ``add.reduce(x) / n``; reducing the packed
+        # slices directly yields the same double.
+        ratios = self._ratio_count
+        if ratios:
+            self.c0 = float(np.add.reduce(columns[4, :ratios]) / ratios)
         else:
-            self.c0 = float(np.mean(cycles))
-        features = np.column_stack(
-            [self._columns[1, :count], self._columns[2, :count]]
-        )
+            self.c0 = float(np.add.reduce(cycles) / count)
         # Non-negative-ish least squares: plain lstsq, floored at zero —
-        # the hardware's c1/c2 are rates and cannot be negative.
-        solution, *_ = np.linalg.lstsq(features, cycles, rcond=None)
+        # the hardware's c1/c2 are rates and cannot be negative.  lstsq
+        # copies its operand into LAPACK order, so the transposed view
+        # solves exactly as a stacked (count, 2) array would.
+        solution, *_ = np.linalg.lstsq(
+            columns[1:3, :count].T, cycles, rcond=None
+        )
         self.c1 = float(max(solution[0], 0.0))
         self.c2 = float(max(solution[1], 0.0))
         if self.c1 == 0.0 and self.c2 == 0.0:
             # Degenerate fit (e.g. colinear calibration set): fall back
             # to attributing everything to pixels.
-            total_pixels = float(np.sum(features[:, 1]))
+            total_pixels = float(np.sum(columns[2, :count]))
             self.c2 = float(np.sum(cycles) / total_pixels) if total_pixels else 0.0
 
     # -- prediction ---------------------------------------------------------

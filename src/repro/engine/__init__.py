@@ -29,7 +29,6 @@ from repro.engine.base import (
     ExecutionEngine,
     LinkFlow,
     ResolvedUnit,
-    StageCopy,
     StageOutcome,
     classify_bottleneck,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "LinkFlow",
     "LinkUsage",
     "ResolvedUnit",
-    "StageCopy",
     "StageOutcome",
     "TraceInterval",
     "build_engine",

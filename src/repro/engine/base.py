@@ -84,7 +84,6 @@ __all__ = [
     "EngineError",
     "LinkFlow",
     "ResolvedUnit",
-    "StageCopy",
     "StageOutcome",
     "CompositionTransfer",
     "CompositionSchedule",
@@ -173,20 +172,6 @@ class ResolvedUnit:
     @property
     def remote_bytes(self) -> float:
         return sum(self.link_bytes.values())
-
-
-@dataclass(frozen=True)
-class StageCopy:
-    """One staging/PA copy chunk bound for a GPM's local DRAM.
-
-    The staging managers emit one chunk per touch that still had bytes
-    to move.  Zero-byte chunks are legal and priced as nothing.
-    """
-
-    src: int
-    dst: int
-    nbytes: float
-    traffic: TrafficType
 
 
 @dataclass(frozen=True)
@@ -622,7 +607,9 @@ class ExecutionEngine(abc.ABC):
     def stage_flow(
         self,
         gpm_id: int,
-        copies: Sequence[StageCopy],
+        src: int,
+        chunks: Sequence[float],
+        traffic: TrafficType,
         *,
         parallelism: float = 1.0,
         prefetched: bool = False,
@@ -632,36 +619,47 @@ class ExecutionEngine(abc.ABC):
     ) -> StageOutcome:
         """Account and price one unit's staging copies into ``gpm_id``.
 
-        The byte accounting (fabric transfers, destination DRAM writes)
-        happens here, once, in chunk order — engine-independent like
-        binding, so per-phase byte totals agree across engines.  The
-        *visible* cost on the scheduling clock is the analytic overlap
-        model: a prefetched copy (OO-VR's PA units) streams behind the
-        previous batch and charges nothing, a software copy stalls the
-        GPM for ``bytes / (link bandwidth x parallelism)`` where
-        ``parallelism`` folds incoming-link count and copy/render
-        overlap into one factor.  When ``overlap_from`` is given (the
-        PA path), the returned ``ready_at`` is when the copy lands:
-        ``overlap_from`` plus the counter-delta bytes at full link
-        bandwidth.  Engines may additionally replay the copy as a
-        background flow (see :class:`~repro.engine.event.EventEngine`).
+        A staging flow is one (source, destination) pair carrying
+        ``chunks``: the byte counts of its copies (one per touch that
+        still had bytes to move), all billed as ``traffic``.
+        Non-positive chunks are legal and priced as nothing.  The byte
+        accounting (one fabric transfer and one destination DRAM write
+        per chunk) happens here, once, in chunk order —
+        engine-independent like binding, so per-phase byte totals agree
+        across engines.  The *visible* cost on the scheduling clock is
+        the analytic overlap model: a prefetched copy (OO-VR's PA
+        units) streams behind the previous batch and charges nothing, a
+        software copy stalls the GPM for ``bytes / (link bandwidth x
+        parallelism)`` where ``parallelism`` folds incoming-link count
+        and copy/render overlap into one factor.  When ``overlap_from``
+        is given (the PA path), the returned ``ready_at`` is when the
+        copy lands: ``overlap_from`` plus the counter-delta bytes at
+        full link bandwidth.  Engines may additionally replay the copy
+        as a background flow (see
+        :class:`~repro.engine.event.EventEngine`).
         """
         system = self.system
         if not 0 <= gpm_id < system.num_gpms:
             raise ValueError(f"GPM {gpm_id} out of range")
         if parallelism <= 0:
             raise EngineError("staging parallelism must be positive")
+        transfer = system.fabric.transfer
+        write = system.drams[gpm_id].write
+        # Phase totals count what the fabric counts: a single-GPM
+        # "copy" never leaves the XBAR.
+        remote = src != gpm_id
+        phase_bytes = self._phase_bytes
         total = 0.0
-        for copy in copies:
-            if copy.nbytes <= 0:
+        for nbytes in chunks:
+            if nbytes <= 0:
                 continue
-            system.fabric.transfer(copy.src, copy.dst, copy.nbytes, copy.traffic)
-            system.drams[copy.dst].write(copy.nbytes)
-            total += copy.nbytes
-            if copy.src != copy.dst:
-                # Phase totals count what the fabric counts: a
-                # single-GPM "copy" never leaves the XBAR.
-                self._phase_bytes["staging"] += copy.nbytes
+            # Per chunk, not one summed transfer: the fabric's and the
+            # DRAM's running counters accumulate each chunk in turn.
+            transfer(src, gpm_id, nbytes, traffic)
+            write(nbytes)
+            total += nbytes
+            if remote:
+                phase_bytes["staging"] += nbytes
         stall = 0.0
         if total > 0 and not prefetched:
             stall = total / (
@@ -684,7 +682,7 @@ class ExecutionEngine(abc.ABC):
             landed = (staged_before + total) - staged_before
             ready_at = overlap_from + landed / system.config.link.bytes_per_cycle
         self._note_stage(
-            gpm_id, tuple(copies), total, stall, parallelism, prefetched,
+            gpm_id, src, total, stall, parallelism, prefetched,
             overlap_from, label,
         )
         return StageOutcome(
@@ -758,7 +756,7 @@ class ExecutionEngine(abc.ABC):
     def _note_stage(
         self,
         gpm_id: int,
-        copies: Tuple[StageCopy, ...],
+        src: int,
         total_bytes: float,
         stall_cycles: float,
         parallelism: float,

@@ -73,10 +73,9 @@ from repro.engine.base import (
     EngineError,
     ExecutionEngine,
     ResolvedUnit,
-    StageCopy,
 )
 from repro.engine.trace import FrameTrace, LinkUsage, TraceInterval
-from repro.profiling import add_counter
+from repro.profiling import add_counter, phase
 
 __all__ = ["EventEngine"]
 
@@ -389,7 +388,7 @@ class EventEngine(ExecutionEngine):
     def _note_stage(
         self,
         gpm_id: int,
-        copies: Tuple[StageCopy, ...],
+        src: int,
         total_bytes: float,
         stall_cycles: float,
         parallelism: float,
@@ -397,20 +396,13 @@ class EventEngine(ExecutionEngine):
         overlap_from: Optional[float],
         label: str,
     ) -> None:
-        """Replay a staging copy as link flows instead of opaque time."""
+        """Replay a staging copy as a link flow instead of opaque time."""
         if total_bytes <= 0:
             return
-        merged: Dict[Link, float] = {}
-        for copy in copies:
-            if copy.nbytes > 0 and copy.src != copy.dst:
-                key = (copy.src, copy.dst)
-                merged[key] = merged.get(key, 0.0) + copy.nbytes
-        fabric = self.system.fabric
         specs: List[_FlowSpec] = []
-        for (src, dst), nbytes in merged.items():
-            route = tuple(fabric.route(src, dst))
-            if not route:
-                continue
+        # A single-GPM "copy" never leaves the XBAR: no route, no flow.
+        route = tuple(self.system.fabric.route(src, gpm_id))
+        if route:
             specs.append(
                 _FlowSpec(
                     # Copies stream: no per-request wire latency (the
@@ -423,7 +415,7 @@ class EventEngine(ExecutionEngine):
                     # copy time everywhere; contention still divides
                     # the rate through each route link's user count.
                     route=route,
-                    nbytes=nbytes,
+                    nbytes=total_bytes,
                     latency=0.0,
                     rate_scale=(1.0 if prefetched else parallelism)
                     * len(route),
@@ -545,6 +537,10 @@ class EventEngine(ExecutionEngine):
         #: incrementally (+/-1 per route element on stream enter/leave),
         #: it equals the reference loop's per-window route bincount.
         link_users = [0] * num_links
+        #: Links with at least one streaming user (the ids whose
+        #: ``link_users`` entry is positive), kept in step with it so
+        #: occupancy accrues without scanning every link each window.
+        busy_links: Set[int] = set()
 
         # Live row sets: the only state the window body walks.
         c_live: Set[int] = set()
@@ -555,12 +551,18 @@ class EventEngine(ExecutionEngine):
         def enter_stream(row: int) -> None:
             b_live.add(row)
             for lid in routes[row]:
-                link_users[lid] += 1
+                users = link_users[lid]
+                if not users:
+                    busy_links.add(lid)
+                link_users[lid] = users + 1
 
         def leave_stream(row: int) -> None:
             b_live.discard(row)
             for lid in routes[row]:
-                link_users[lid] -= 1
+                users = link_users[lid] - 1
+                link_users[lid] = users
+                if not users:
+                    busy_links.discard(lid)
 
         def enter_rows(idx: int) -> None:
             """Register a newly-activated job's live demand rows."""
@@ -640,7 +642,8 @@ class EventEngine(ExecutionEngine):
                 while gpm not in active and queues[gpm]:
                     floor = queues[gpm][0].start_floor
                     if floor > t * (1 + _REL) + _EPS:
-                        next_start = min(next_start, floor)
+                        if floor < next_start:
+                            next_start = floor
                         break
                     job = queues[gpm].popleft()
                     idx = index_of[id(job)]
@@ -664,7 +667,8 @@ class EventEngine(ExecutionEngine):
             while bg_pending:
                 floor = bg_pending[0].start_floor
                 if floor > t * (1 + _REL) + _EPS:
-                    next_start = min(next_start, floor)
+                    if floor < next_start:
+                        next_start = floor
                     break
                 job = bg_pending.pop(0)
                 idx = index_of[id(job)]
@@ -710,29 +714,42 @@ class EventEngine(ExecutionEngine):
                 # Bandwidth share on the most contended link of the
                 # route, serialised over the hop count (links with no
                 # active flow are floored to one user; a streaming
-                # flow's route is never empty).
-                hop = min(
-                    link_bw / u if (u := link_users[lid]) > 1 else link_bw
-                    for lid in routes[row]
-                )
+                # flow's route is never empty).  Correctly rounded
+                # division is monotone in the divisor, so the share of
+                # the route's busiest link *is* the minimum per-link
+                # share the reference loop reduces.
+                most = 1
+                for lid in routes[row]:
+                    users = link_users[lid]
+                    if users > most:
+                        most = users
+                hop = link_bw / most if most > 1 else link_bw
                 b_rates.append(
                     (row, (hop * flow_scale[row]) / route_len[row])
                 )
 
-            # Time to the next completion or rate change.
+            # Time to the next completion or rate change: the minimum
+            # over the same values the reference loop's ``.min()``
+            # reductions see (order-independent on these non-NaN
+            # horizons), found with plain comparisons rather than
+            # per-window generators.
             dt = next_start - t if next_start != float("inf") else float("inf")
-            if c_live:
-                dt = min(dt, min(compute_rem[idx] for idx in c_live))
-            if d_shares:
-                dt = min(
-                    dt, min(dram_rem[row] / share for row, share in d_shares)
-                )
-            if lat_live:
-                dt = min(dt, min(flow_lat[row] for row in lat_live))
-            if b_rates:
-                dt = min(
-                    dt, min(flow_bytes[row] / rate for row, rate in b_rates)
-                )
+            for idx in c_live:
+                horizon = compute_rem[idx]
+                if horizon < dt:
+                    dt = horizon
+            for row, share in d_shares:
+                horizon = dram_rem[row] / share
+                if horizon < dt:
+                    dt = horizon
+            for row in lat_live:
+                horizon = flow_lat[row]
+                if horizon < dt:
+                    dt = horizon
+            for row, rate in b_rates:
+                horizon = flow_bytes[row] / rate
+                if horizon < dt:
+                    dt = horizon
 
             if dt == float("inf"):
                 # Active demand that drains at rate zero: tolerate a
@@ -744,7 +761,8 @@ class EventEngine(ExecutionEngine):
                 dt = 0.0
             else:
                 zero_windows = 0
-            dt = max(dt, 0.0)
+            if dt < 0.0:
+                dt = 0.0
 
             # Advance the window: deplete demands, accumulate occupancy
             # and retire the per-job open-component counts as rows
@@ -754,9 +772,8 @@ class EventEngine(ExecutionEngine):
                 t += dt
                 for gpm in active:
                     busy[gpm] += dt
-                for lid in range(num_links):
-                    if link_users[lid] > 0:
-                        link_busy_acc[lid] += dt
+                for lid in busy_links:
+                    link_busy_acc[lid] += dt
                 if c_live:
                     done = []
                     for idx in c_live:
@@ -1200,56 +1217,57 @@ class EventEngine(ExecutionEngine):
         the barrier is reported as ``composition_cycles`` and its
         ``compose``-lane intervals.
         """
-        simulate = (
-            self._simulate_reference
-            if self.use_reference_loop
-            else self._simulate
-        )
-        loop_start = time.perf_counter()
-        render = simulate(self._jobs, self._background)
-        loop_seconds = time.perf_counter() - loop_start
-        windows = render.windows
-        live_rows = render.live_rows
-        render_end = max(render.end) if render.end else 0.0
-        intervals = list(render.intervals)
-        link_busy = dict(render.link_busy)
-        link_bytes = dict(render.link_bytes)
-        composition_cycles = 0.0
-        compose_jobs = self._composition_jobs(render_end)
-        if compose_jobs:
-            loop_start = time.perf_counter()
-            compose = simulate(compose_jobs)
-            loop_seconds += time.perf_counter() - loop_start
-            windows += compose.windows
-            live_rows += compose.live_rows
-            composition_cycles = max(compose.makespan - render_end, 0.0)
-            intervals.extend(compose.intervals)
-            for link, cycles in compose.link_busy.items():
-                link_busy[link] = link_busy.get(link, 0.0) + cycles
-            for link, nbytes in compose.link_bytes.items():
-                link_bytes[link] = link_bytes.get(link, 0.0) + nbytes
-        # Window-loop counters for ``--profile`` runs (no-ops when no
-        # capture is active, so unprofiled goldens pay nothing).
-        add_counter("event_windows", float(windows))
-        add_counter("event_live_rows", float(live_rows))
-        add_counter("event_loop_s", loop_seconds)
-
-        links = tuple(
-            LinkUsage(
-                src=link[0],
-                dst=link[1],
-                nbytes=link_bytes.get(link, 0.0),
-                busy_cycles=link_busy.get(link, 0.0),
+        with phase("simulate"):
+            simulate = (
+                self._simulate_reference
+                if self.use_reference_loop
+                else self._simulate
             )
-            for link in sorted(set(link_bytes) | set(link_busy))
-        )
-        return FrameTrace(
-            engine=self.name,
-            num_gpms=self.system.num_gpms,
-            intervals=tuple(intervals),
-            gpm_busy=tuple(render.busy),
-            gpm_end=tuple(render.end),
-            links=links,
-            composition_cycles=composition_cycles,
-            phase_link_bytes=dict(self._phase_bytes),
-        )
+            loop_start = time.perf_counter()
+            render = simulate(self._jobs, self._background)
+            loop_seconds = time.perf_counter() - loop_start
+            windows = render.windows
+            live_rows = render.live_rows
+            render_end = max(render.end) if render.end else 0.0
+            intervals = list(render.intervals)
+            link_busy = dict(render.link_busy)
+            link_bytes = dict(render.link_bytes)
+            composition_cycles = 0.0
+            compose_jobs = self._composition_jobs(render_end)
+            if compose_jobs:
+                loop_start = time.perf_counter()
+                compose = simulate(compose_jobs)
+                loop_seconds += time.perf_counter() - loop_start
+                windows += compose.windows
+                live_rows += compose.live_rows
+                composition_cycles = max(compose.makespan - render_end, 0.0)
+                intervals.extend(compose.intervals)
+                for link, cycles in compose.link_busy.items():
+                    link_busy[link] = link_busy.get(link, 0.0) + cycles
+                for link, nbytes in compose.link_bytes.items():
+                    link_bytes[link] = link_bytes.get(link, 0.0) + nbytes
+            # Window-loop counters for ``--profile`` runs (no-ops when no
+            # capture is active, so unprofiled goldens pay nothing).
+            add_counter("event_windows", float(windows))
+            add_counter("event_live_rows", float(live_rows))
+            add_counter("event_loop_s", loop_seconds)
+
+            links = tuple(
+                LinkUsage(
+                    src=link[0],
+                    dst=link[1],
+                    nbytes=link_bytes.get(link, 0.0),
+                    busy_cycles=link_busy.get(link, 0.0),
+                )
+                for link in sorted(set(link_bytes) | set(link_busy))
+            )
+            return FrameTrace(
+                engine=self.name,
+                num_gpms=self.system.num_gpms,
+                intervals=tuple(intervals),
+                gpm_busy=tuple(render.busy),
+                gpm_end=tuple(render.end),
+                links=links,
+                composition_cycles=composition_cycles,
+                phase_link_bytes=dict(self._phase_bytes),
+            )

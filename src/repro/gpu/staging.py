@@ -18,10 +18,12 @@ The :class:`StagingManager` resolves those copies: per frame and per
 pages locally (so render-time reads hit local DRAM) and computes the
 shortfall each touch still has to move.  The copy itself — byte
 accounting *and* pricing — is the execution engine's job: the manager
-emits the shortfalls as a staging flow
-(:meth:`~repro.engine.base.ExecutionEngine.stage_flow`), and the engine
-decides what the copy costs (the analytic overlap stall, or a
-contention-replayed wire flow under the event engine).
+emits one staging flow per unit
+(:meth:`~repro.engine.base.ExecutionEngine.stage_flow`): a single
+(source, destination) pair and traffic type carrying the shortfalls as
+byte chunks in touch order, and the engine decides what the copy costs
+(the analytic overlap stall, or a contention-replayed wire flow under
+the event engine).
 """
 
 from __future__ import annotations
@@ -30,16 +32,20 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.base import StageCopy, StageOutcome
+from repro.engine.base import StageOutcome
 from repro.gpu.system import MultiGPUSystem
 from repro.memory.address import Touch
 from repro.memory.link import TrafficType
 from repro.memory.placement import Holding
 from repro.pipeline.workunit import WorkUnit
+from repro.profiling import phase
 
 # Enum member lookups cost a descriptor call each; _stage_touch runs
 # per touch.
 _PLACED, _HOME = Holding.PLACED, Holding.HOME
+#: The ``stage`` profiling phase (one shared timer; stage_unit runs
+#: per dispatched unit).
+_STAGE_PHASE = phase("stage")
 
 
 @dataclass
@@ -70,7 +76,7 @@ class StagingManager:
 
         Pure placement bookkeeping — the returned bytes still have to
         be moved, which the engine does when :meth:`stage_unit` emits
-        the collected shortfalls as one staging flow.
+        the collected shortfalls as the chunks of one staging flow.
         """
         resource = touch.resource
         holding = self.system.placement.hold(resource, gpm)
@@ -111,32 +117,35 @@ class StagingManager:
         recording the staged copy; vertex buffers are tiny and stage
         along with the command stream.  Afterwards ``gpm`` holds every
         touched resource whole, so binding the unit there reads no
-        texture or vertex bytes over the links.  One copy chunk is
-        emitted per touch that still had a shortfall, in touch order;
-        touches with nothing to move emit none.  ``factor_scale`` lets
-        callers stage per view (tile-SFR copies each eye region's data
-        even though SMP shares the cached footprint).  ``overlap_from``
+        texture or vertex bytes over the links.  The copy is one
+        staging flow from the neighbouring GPM ``(gpm + 1) % n`` in
+        this manager's traffic type, carrying one byte chunk per touch
+        that still had a shortfall, in touch order; touches with
+        nothing to move emit none.  ``factor_scale`` lets callers stage
+        per view (tile-SFR copies each eye region's data even though
+        SMP shares the cached footprint).  ``overlap_from``
         is the PA path: the copy streams from that point in time and
         the returned outcome carries when it lands.  All pricing — the
         stall charged on a software copy, the overlapped arrival of a
         prefetched one — is the engine's
         (:meth:`~repro.engine.base.ExecutionEngine.stage_flow`).
         """
-        src = (gpm + 1) % self.system.num_gpms
-        copies: List[StageCopy] = []
-        for touch in chain(unit.texture_touches, unit.vertex_touches):
-            shortfall = self._stage_touch(touch, gpm, factor_scale)
-            if shortfall:
-                copies.append(
-                    StageCopy(src, gpm, shortfall, self.traffic_type)
-                )
-        outcome = self.system.engine.stage_flow(
-            gpm,
-            copies,
-            parallelism=self.parallelism,
-            prefetched=self.prefetched,
-            overlap_from=overlap_from,
-            staged_before=self.staged_bytes,
-        )
-        self.staged_bytes += outcome.copied_bytes
-        return outcome
+        with _STAGE_PHASE:
+            src = (gpm + 1) % self.system.num_gpms
+            chunks: List[float] = []
+            for touch in chain(unit.texture_touches, unit.vertex_touches):
+                shortfall = self._stage_touch(touch, gpm, factor_scale)
+                if shortfall:
+                    chunks.append(shortfall)
+            outcome = self.system.engine.stage_flow(
+                gpm,
+                src,
+                chunks,
+                self.traffic_type,
+                parallelism=self.parallelism,
+                prefetched=self.prefetched,
+                overlap_from=overlap_from,
+                staged_before=self.staged_bytes,
+            )
+            self.staged_bytes += outcome.copied_bytes
+            return outcome

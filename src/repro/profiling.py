@@ -1,8 +1,9 @@
 """Wall-clock phase profiling of the simulator hot path.
 
 ``oovr run --profile`` and :meth:`Sweep.run(profile=True)
-<repro.session.session.Sweep.run>` time one cell's five cost centres —
-scene build, work-unit binding, Eq. 3 stage/memory pricing, schedule
+<repro.session.session.Sweep.run>` time one cell's cost centres —
+scene build, work-unit binding, Eq. 3 stage/memory pricing, staging
+copies, predictor refits, event simulation, the rest of schedule
 execution and result-cache I/O — and report them as a small table
 (and, for sweeps, as ``profile_*`` record columns).
 
@@ -35,13 +36,20 @@ __all__ = [
 #: ``bind`` covers middleware batch grouping and merging (the
 #: ``_BatchBuilder`` front end) plus the engine's memory-image
 #: resolution; ``price`` covers Eq. 3 frame characterisation plus the
-#: engine's stage/memory pricing; ``execute`` everything else inside
-#: the render (dispatch, SMP, event simulation); ``cache``
-#: result-cache I/O.  Compiled-plan store loads
+#: engine's stage/memory pricing; ``stage`` is staging/PA copy
+#: resolution and accounting (``StagingManager.stage_unit``);
+#: ``predict`` is the Eq. 3 predictor's observe-and-refit
+#: (``RenderingTimePredictor.observe``); ``simulate`` is the event
+#: engine's frame replay (``EventEngine.finish_frame``); ``execute``
+#: everything else inside the render (dispatch, SMP, analytic
+#: scheduling); ``cache`` result-cache I/O.  Compiled-plan store loads
 #: (:mod:`repro.plan.store`) deliberately stay *outside* bind/price —
 #: they surface as the ``plan_load_s`` counter — so a warm store
 #: genuinely shrinks those phases' share.
-PHASES = ("scene", "bind", "price", "execute", "cache")
+PHASES = (
+    "scene", "bind", "price", "stage", "predict", "simulate", "execute",
+    "cache",
+)
 
 
 class PhaseProfile:

@@ -206,8 +206,9 @@ class Session(_ScaleMixin):
         :attr:`last_framework` for introspection — dispatch records,
         ``last_system.last_trace``.  With ``profile=True`` the run is
         additionally timed phase by phase (scene build, binding,
-        pricing, execution) into :attr:`last_profile`; the numerical
-        result is unchanged.  ``reuse=False`` disables the per-process
+        pricing, staging, predictor refits, event simulation, the rest
+        of execution) into :attr:`last_profile`; the numerical result
+        is unchanged.  ``reuse=False`` disables the per-process
         :mod:`repro.reuse` cache for the run's duration (results are
         byte-identical either way — only the wall clock changes).
 

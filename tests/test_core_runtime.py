@@ -1,5 +1,6 @@
 """The OO-VR hardware layer: predictor, distribution engine, overhead."""
 
+import numpy as np
 import pytest
 
 from repro.config import baseline_system
@@ -108,6 +109,102 @@ class TestPredictor:
                 rendered_pixels=0.0,
                 cycles=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "field",
+        ["triangles", "transformed_vertices", "rendered_pixels", "cycles"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_observation_rejected(self, field, value):
+        """NaN compares false against every bound, so it needs its own
+        check: one such row would poison c0/c1/c2 for every later fit."""
+        fields = dict(
+            triangles=10.0,
+            transformed_vertices=1.0,
+            rendered_pixels=1.0,
+            cycles=5.0,
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            BatchObservation(**fields)
+
+
+def reference_fit(rows):
+    """Eq. 3 refit from scratch: mask, divide, mean, stack, lstsq.
+
+    The formula :class:`RenderingTimePredictor` evaluated before it kept
+    running columns; the predictor must reproduce it to the bit.
+    """
+    data = np.array(rows, dtype=np.float64).T
+    triangles, tv, pixels, cycles = data
+    valid = triangles > 0
+    if valid.any():
+        c0 = float(np.mean(cycles[valid] / triangles[valid]))
+    else:
+        c0 = float(np.mean(cycles))
+    features = np.column_stack([tv, pixels])
+    solution, *_ = np.linalg.lstsq(features, cycles, rcond=None)
+    c1 = float(max(solution[0], 0.0))
+    c2 = float(max(solution[1], 0.0))
+    if c1 == 0.0 and c2 == 0.0:
+        total_pixels = float(np.sum(features[:, 1]))
+        c2 = float(np.sum(cycles) / total_pixels) if total_pixels else 0.0
+    return c0, c1, c2
+
+
+class TestPredictorRefitOracle:
+    """The running-column refit equals the from-scratch formula (==)."""
+
+    @staticmethod
+    def _replay(rows, calibration=CALIBRATION_BATCHES):
+        predictor = RenderingTimePredictor(calibration)
+        for index, row in enumerate(rows):
+            predictor.observe(BatchObservation(*row))
+            if index + 1 < calibration:
+                assert not predictor.is_calibrated
+                continue
+            want = reference_fit(rows[: index + 1])
+            # == : bit-exact, not approx.
+            assert (predictor.c0, predictor.c1, predictor.c2) == want
+        return predictor
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sequences_match_reference_exactly(self, seed):
+        rng = np.random.default_rng(4242 + seed)
+        rows = []
+        # Past the initial 16-column buffer, so it grows (twice).
+        for _ in range(int(rng.integers(40, 90))):
+            triangles = (
+                0.0 if rng.random() < 0.2 else float(rng.uniform(1.0, 5e4))
+            )
+            tv = float(rng.uniform(0.0, 3e4))
+            pixels = float(rng.uniform(0.0, 1e6))
+            cycles = float(
+                0.7 * tv + 0.03 * pixels + rng.uniform(1.0, 5e3)
+            )
+            rows.append((triangles, tv, pixels, cycles))
+        self._replay(rows, calibration=int(rng.integers(1, 12)))
+
+    def test_zero_triangle_rows_fall_back_to_mean_cycles(self):
+        rows = [(0.0, 10.0 * i, 300.0 * i, 50.0 * i + 7.0) for i in range(1, 20)]
+        predictor = self._replay(rows)
+        assert predictor.c0 == float(np.mean([row[3] for row in rows]))
+        # Later rows with triangles join the packed ratio row.
+        rows += [(40.0 * i, 5.0 * i, 90.0 * i, 33.0 * i) for i in range(1, 6)]
+        self._replay(rows)
+
+    def test_colinear_and_degenerate_sets(self):
+        # Colinear features (pixels = 20 x tv): rank-deficient lstsq.
+        rows = [
+            (100.0 * i, 10.0 * i, 200.0 * i, 5000.0 - 150.0 * i)
+            for i in range(1, 25)
+        ]
+        self._replay(rows)
+        # All-zero features: lstsq returns (0, 0), so the degenerate
+        # fallback runs (and, with no pixels, leaves c2 at 0).
+        zero = [(10.0, 0.0, 0.0, 3.0 + i) for i in range(20)]
+        predictor = self._replay(zero)
+        assert (predictor.c1, predictor.c2) == (0.0, 0.0)
 
 
 def build_batches(pool, count=16, triangles=800, materials=5):

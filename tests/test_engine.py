@@ -7,6 +7,7 @@ conservation guarantees between engines, and the contention study.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -1115,11 +1116,33 @@ class TestIncrementalWindowLoop:
     def _engine(config):
         return MultiGPUSystem(config.with_engine("event")).engine
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_flow_soups_match_reference_exactly(self, config, seed):
+    @pytest.mark.parametrize(
+        "topology, seed",
+        [
+            pytest.param(
+                topology,
+                seed,
+                # Fully connected keeps its historical bare-seed ids.
+                id=str(seed)
+                if topology == "fully-connected"
+                else f"{topology}-{seed}",
+            )
+            for topology in ("fully-connected", "ring", "switch")
+            for seed in range(12)
+        ],
+    )
+    def test_random_flow_soups_match_reference_exactly(
+        self, config, topology, seed
+    ):
+        """Routed fabrics give multi-hop routes, so link users, the
+        busiest-link share and the busy-link set are exercised on
+        links that several flows cross."""
         import numpy as np
 
+        from repro.extensions.topology import Topology, install_topology
+
         engine = self._engine(config)
+        install_topology(engine.system, Topology(topology))
         rng = np.random.default_rng(20260808 + seed)
         jobs, background = _random_flow_soup(engine, rng)
         # _simulate never mutates its inputs, so both loops replay the
@@ -1195,3 +1218,72 @@ class TestIncrementalWindowLoop:
         message = str(excinfo.value)
         assert "stalled" in message
         assert "wedged-unit" in message
+
+
+# ---------------------------------------------------------------------------
+# Profiled phases inside execute: stage, predict, simulate
+# ---------------------------------------------------------------------------
+
+
+class TestExecutePhaseSplit:
+    """``--profile`` charges staging, predictor refits and the event
+    replay to their own self-time phases, without touching results."""
+
+    @staticmethod
+    def _grid():
+        return (
+            Sweep().frameworks("oo-vr").workloads("DM3-640").fast()
+            .engine("event")
+        )
+
+    def test_new_phases_count_the_wrapped_calls(self, monkeypatch):
+        import time
+
+        from repro.core.predictor import RenderingTimePredictor
+        from repro.gpu.staging import StagingManager
+
+        calls = {"stage": 0, "predict": 0, "simulate": 0}
+        wrapped = {
+            "stage": (StagingManager, "stage_unit"),
+            "predict": (RenderingTimePredictor, "observe"),
+            "simulate": (EventEngine, "finish_frame"),
+        }
+        for name, (owner, attr) in wrapped.items():
+            original = getattr(owner, attr)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+        session = (
+            Session().framework("oo-vr").workload("DM3-640").fast()
+            .engine("event")
+        )
+        begin = time.perf_counter()
+        session.run(profile=True)
+        wall = time.perf_counter() - begin
+        profile = session.last_profile
+        assert all(calls.values())
+        for name, count in calls.items():
+            assert profile.calls[name] == count
+        phases = profile.to_dict()
+        assert {"stage", "predict", "simulate", "execute"} <= set(phases)
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        # Self times partition the profiled wall: nothing double-counts.
+        assert sum(phases.values()) == pytest.approx(profile.total_seconds)
+        assert profile.total_seconds <= wall
+
+    def test_unprofiled_records_are_unchanged(self):
+        plain = self._grid().run().to_records()
+        profiled = self._grid().run(profile=True).to_records()
+        assert not [key for key in plain[0] if key.startswith("profile_")]
+        for name in ("stage", "predict", "simulate"):
+            assert profiled[0][f"profile_{name}_s"] > 0.0
+        stripped = [
+            {k: v for k, v in record.items() if not k.startswith("profile_")}
+            for record in profiled
+        ]
+        assert json.dumps(stripped, sort_keys=True) == json.dumps(
+            plain, sort_keys=True
+        )

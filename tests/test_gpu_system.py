@@ -306,9 +306,9 @@ class TestStagingManager:
         emitted = []
         stage_flow = system.engine.stage_flow
 
-        def recording(gpm_id, copies, **kwargs):
-            emitted.extend(copies)
-            return stage_flow(gpm_id, copies, **kwargs)
+        def recording(gpm_id, src, chunks, traffic, **kwargs):
+            emitted.append((gpm_id, src, list(chunks), traffic))
+            return stage_flow(gpm_id, src, chunks, traffic, **kwargs)
 
         system.engine.stage_flow = recording
         staging = StagingManager(system, prefetched=prefetched)
@@ -321,9 +321,11 @@ class TestStagingManager:
             if t.resource in (moss, vertex)
         ]
         assert shortfalls and all(nbytes > 0 for nbytes in shortfalls)
-        assert [copy.nbytes for copy in emitted] == shortfalls
-        assert all((copy.dst, copy.traffic) == (2, TrafficType.TEXTURE)
-                   for copy in emitted)
+        # One flow: the neighbouring GPM's copy into the renderer, its
+        # chunks exactly the nonzero shortfalls in touch order.
+        assert emitted == [
+            (2, (2 + 1) % system.num_gpms, shortfalls, TrafficType.TEXTURE)
+        ]
         assert staging.staged_bytes == sum(shortfalls)
 
         resolved = system.engine.bind(unit, 2, fb_targets={2: 1.0})
